@@ -63,17 +63,15 @@ func TestMustWrappersParity(t *testing.T) {
 	MustAdaptive(bad)
 }
 
-// Pre-redesign estimation call paths (WithSimSeed/WithMaxSteps under
-// the EstimateOption name) must keep producing the exact values they
-// did, and the engine record must be populated.
-func TestEstimateOptionAliasParity(t *testing.T) {
+// An estimate must carry its engine record, and fanning it out over
+// workers must change nothing but the record's worker count.
+func TestEstimateEngineRecordWorkerInvariance(t *testing.T) {
 	x := parityInstance()
 	s, err := Solve(x, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var opts []EstimateOption
-	opts = append(opts, WithSimSeed(11), WithMaxSteps(100000))
+	opts := []Option{WithSimSeed(11), WithMaxSteps(100000)}
 	e1, err := s.EstimateMakespan(x, 400, opts...)
 	if err != nil {
 		t.Fatal(err)

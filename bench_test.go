@@ -1,6 +1,7 @@
-// Benchmarks — one per experiment table of DESIGN.md §6. They exercise
-// the code paths that regenerate each table at a representative size;
-// cmd/suu-bench produces the tables themselves.
+// Benchmarks — one per experiment table (the ids of exp.Drivers,
+// listed in README.md). They exercise the code paths that regenerate
+// each table at a representative size; cmd/suu-bench produces the
+// tables themselves.
 package suu
 
 import (

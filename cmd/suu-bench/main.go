@@ -1,7 +1,8 @@
-// Command suu-bench regenerates the experiment tables of
-// EXPERIMENTS.md — the empirical validation of every theorem of the
-// paper plus the ablations (see DESIGN.md §6 for the index) — and the
-// simulation-engine throughput record BENCH_sim.json.
+// Command suu-bench regenerates the experiment tables (T1..T15,
+// A1..A5: exp.Drivers, listed in README.md) — the empirical validation
+// of every theorem of the paper plus the ablations — and the
+// simulation-engine throughput record BENCH_sim.json, whose fields
+// docs/BENCH_SCHEMA.md documents.
 //
 // Usage:
 //

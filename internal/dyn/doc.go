@@ -15,13 +15,17 @@
 // the initial solve's exported LP basis as the warm-start donor via
 // core.Params.WarmBasis).
 //
-// Estimation mirrors internal/sim's chunked contract: repetition r
-// draws its completion stream from (seed, r) and its regime stream
-// from (SeedFor(seed, "regime"), r), chunks of 256 repetitions merge
-// in index order, and rolling re-solves are cached per (surviving
-// jobs, up machines) key with key-derived construction seeds — so
-// every summary is bit-identical at any worker count and under any
-// shard tiling. A scenario with no events delegates to the static
-// engines (compiled, lane, splice paths included) and is therefore
-// bit-identical to the static pipeline by construction.
+// Estimation runs on internal/sim's generic step walk, the same loop
+// that executes static policies: each worker gives the walk an env (a
+// sim.Env) that replays the timeline and the hidden regime chain into
+// the walk's arrival, availability and p-scale masks, and serves the
+// strategy's walker its State. Repetition r draws its completion
+// stream from (seed, r) and its regime stream from
+// (SeedFor(seed, "regime"), r), sim's chunks merge in index order, and
+// rolling re-solves are cached per (surviving jobs, up machines) key
+// with key-derived construction seeds — so every summary is
+// bit-identical at any worker count and under any shard tiling. A
+// scenario with no events delegates to the static engines (compiled,
+// lane, splice paths included) and is therefore bit-identical to the
+// static pipeline by construction.
 package dyn

@@ -65,7 +65,7 @@ func TestBurstRegimeStationary(t *testing.T) {
 
 // opaquePolicy hides the concrete policy type so sim's estimator
 // cannot compile it — pinning the comparison to the generic step
-// engine, the one whose draw schedule the dynamic walk mirrors.
+// engine, the walk dynamic scenarios run on.
 type opaquePolicy struct{ pol sched.Policy }
 
 func (o opaquePolicy) Assign(st *sched.State) sched.Assignment { return o.pol.Assign(st) }
@@ -264,5 +264,88 @@ func TestEstimateRejectsBadInput(t *testing.T) {
 	bad := New(in).ArriveAt(99, 1)
 	if _, _, _, err := EstimateInfo(bad, NewAdaptive(bad), 10, 100, 1, 1); err == nil {
 		t.Fatal("invalid scenario accepted")
+	}
+}
+
+// TestDynamicGolden pins the dynamic walk's exact output under live
+// events: arrivals, an outage and a regime (dynamicScenario), arrivals
+// alone, and a total-failure burst on every machine. Worker invariance
+// and zero-event parity cannot see a reordered completion or regime
+// draw under events; these bit patterns can. The cap of 3565 steps
+// lets some rolling trajectories hit it, so the incomplete count is
+// pinned too.
+func TestDynamicGolden(t *testing.T) {
+	in, pol := fixture()
+	scenarios := map[string]*Scenario{
+		"events":   dynamicScenario(in),
+		"arrivals": New(in).ArriveAt(5, 4).ArriveAt(3, 2).ArriveAt(0, 1),
+		"blackout": New(in).Burst(-1, 0.3, 0.8, 0),
+	}
+	golden := []struct {
+		scenario, strategy string
+		mean, sd           uint64
+		min, max           float64
+		incomplete         int
+	}{
+		{"events", "static", 0x40353fffffffffff, 0x4022e6d1921f5086, 8, 61, 0},
+		{"events", "adaptive", 0x4024a49249249249, 0x40050a1bff2d4afd, 6, 25, 0},
+		{"events", "rolling", 0x40743b277f44c119, 0x40852e907c7539ca, 5, 3565, 14},
+		{"arrivals", "static", 0x4032fcb564efe89b, 0x40220ec8aa362569, 8, 73, 0},
+		{"arrivals", "adaptive", 0x40225ab277f44c11, 0x4002145d52b87cc5, 6, 19, 0},
+		{"arrivals", "rolling", 0x407b50cccccccccd, 0x408d0913e13bfb12, 5, 3565, 56},
+		{"blackout", "static", 0x4039b67dce434a9c, 0x402e3bef06953410, 7, 121, 0},
+		{"blackout", "adaptive", 0x40266898231bcb58, 0x40101af94995649a, 6, 38, 0},
+		{"blackout", "rolling", 0x40abc6118de5ab28, 0x40057561e44dc0d1, 3553, 3565, 9},
+	}
+	for _, g := range golden {
+		sc := scenarios[g.scenario]
+		var strat Strategy
+		switch g.strategy {
+		case "static":
+			strat = NewStatic(sc, pol)
+		case "adaptive":
+			strat = NewAdaptive(sc)
+		case "rolling":
+			roll, err := NewRolling(sc, "", core.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			strat = roll
+		}
+		for _, workers := range []int{1, 3} {
+			sum, inc, eng, err := EstimateInfo(sc, strat, 700, 3565, 23, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Engine != sim.EngineDynamic {
+				t.Fatalf("%s/%s: engine %q", g.scenario, g.strategy, eng.Engine)
+			}
+			if math.Float64bits(sum.Mean) != g.mean || math.Float64bits(sum.StdDev) != g.sd ||
+				sum.Min != g.min || sum.Max != g.max || inc != g.incomplete {
+				t.Errorf("%s/%s workers=%d: got mean %#x sd %#x min %v max %v incomplete %d",
+					g.scenario, g.strategy, workers, math.Float64bits(sum.Mean), math.Float64bits(sum.StdDev), sum.Min, sum.Max, inc)
+			}
+		}
+	}
+}
+
+// TestDynamicRepetitionAllocationFree pins one repetition of the step
+// walk under live dynamics (arrivals, an outage and a regime, the
+// static strategy over a *sched.Oblivious) at zero allocations: 256
+// repetitions, still one accumulator chunk, must allocate exactly as
+// much as one, so everything allocated is per-call setup.
+func TestDynamicRepetitionAllocationFree(t *testing.T) {
+	in, pol := fixture()
+	sc := dynamicScenario(in)
+	strat := NewStatic(sc, pol)
+	allocs := func(reps int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, _, _, err := EstimateInfo(sc, strat, reps, 100000, 3, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(256); many != one {
+		t.Errorf("dynamic repetitions allocate: %v allocs for 256 repetitions vs %v for 1", many, one)
 	}
 }

@@ -2,7 +2,6 @@ package dyn
 
 import (
 	"errors"
-	"runtime"
 
 	"suu/internal/sched"
 	"suu/internal/sim"
@@ -16,7 +15,9 @@ import (
 type Strategy interface {
 	// Name labels the strategy in tables and BENCH records.
 	Name() string
-	// NewWalker returns a fresh walker for one worker goroutine.
+	// NewWalker returns a fresh walker for one worker goroutine, or
+	// nil when the strategy is blind to the dynamics: the estimator
+	// then hands StaticPolicy to the walk unchanged.
 	NewWalker() Walker
 	// StaticPolicy returns a static policy that reproduces the
 	// strategy on a scenario with no events, and whether one exists.
@@ -31,31 +32,20 @@ type Strategy interface {
 	parallelizable() bool
 }
 
-// estimateChunk mirrors sim's chunk size: repetitions aggregate into
-// per-chunk accumulators that merge in index order, so summaries are
-// bit-identical at any worker count.
-const estimateChunk = 256
-
 // regimeLabel derives the regime stream's seed domain from the
 // simulation seed; completion draws and regime transitions never
 // share a stream.
 const regimeLabel = "regime"
 
-// Estimate runs reps trajectories of strat on sc sequentially. See
-// EstimateInfo for the full form.
-func Estimate(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64) (stats.Summary, int, error) {
-	sum, inc, _, err := EstimateInfo(sc, strat, reps, maxSteps, seed, 1)
-	return sum, inc, err
-}
-
 // EstimateInfo runs reps trajectories of strat on sc across workers
 // goroutines (<= 0 selects GOMAXPROCS) and returns the makespan
 // summary, the number of trajectories that hit the step cap, and the
-// engine record. Repetition r draws completions from stream (seed, r)
-// and regime transitions from (SeedFor(seed, "regime"), r); chunks of
-// estimateChunk repetitions merge in index order — bit-identical at
-// any worker count. Scenarios with no events delegate to the static
-// engines via Strategy.StaticPolicy.
+// engine record. Trajectories run on sim's step walk under a
+// per-worker env (sim.EstimateEnv): repetition r draws completions
+// from stream (seed, r) and regime transitions from
+// (SeedFor(seed, "regime"), r), and sim's chunked aggregation keeps
+// the result bit-identical at any worker count. Scenarios with no
+// events delegate to the static engines via Strategy.StaticPolicy.
 func EstimateInfo(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64, workers int) (stats.Summary, int, sim.EngineUsed, error) {
 	if reps <= 0 {
 		return stats.Summary{}, 0, sim.EngineUsed{}, errors.New("dyn: reps must be positive")
@@ -70,74 +60,15 @@ func EstimateInfo(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64, 
 			return sum, inc, eng, nil
 		}
 	}
-	if !strat.parallelizable() || workers == 1 {
-		workers = 1
-	} else if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Resolve the flat probability backing on this goroutine before
-	// workers read it concurrently.
-	sc.In.Flat()
 	regSeed := sim.SeedFor(seed, regimeLabel)
-	nchunks := (reps + estimateChunk - 1) / estimateChunk
-	if workers > nchunks {
-		workers = nchunks
+	newWorker := func() (sched.Policy, sim.Env) {
+		e := newEnv(sc.In, tl, regSeed)
+		if e.w = strat.NewWalker(); e.w == nil {
+			pol, _ := strat.StaticPolicy()
+			return pol, e
+		}
+		return e, e
 	}
-	accs := make([]stats.Accumulator, nchunks)
-	incs := make([]int, nchunks)
-	newChunkLoop := func() func(c int) {
-		ws := newWalkState(sc.In, tl)
-		w := strat.NewWalker()
-		var rng, reg sim.Stream
-		return func(c int) {
-			lo, hi := c*estimateChunk, (c+1)*estimateChunk
-			if hi > reps {
-				hi = reps
-			}
-			acc := &accs[c]
-			for r := lo; r < hi; r++ {
-				rng.Reseed(seed, int64(r))
-				reg.Reseed(regSeed, int64(r))
-				makespan, completed := ws.run(w, maxSteps, &rng, &reg)
-				acc.Add(float64(makespan))
-				if !completed {
-					incs[c]++
-				}
-			}
-		}
-	}
-	if workers <= 1 {
-		workers = 1
-		runChunk := newChunkLoop()
-		for c := 0; c < nchunks; c++ {
-			runChunk(c)
-		}
-	} else {
-		next := make(chan int)
-		done := make(chan struct{})
-		for g := 0; g < workers; g++ {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				runChunk := newChunkLoop()
-				for c := range next {
-					runChunk(c)
-				}
-			}()
-		}
-		for c := 0; c < nchunks; c++ {
-			next <- c
-		}
-		close(next)
-		for g := 0; g < workers; g++ {
-			<-done
-		}
-	}
-	var total stats.Accumulator
-	incomplete := 0
-	for c := range accs {
-		total.Merge(accs[c])
-		incomplete += incs[c]
-	}
-	eng := sim.EngineUsed{Engine: sim.EngineDynamic, Workers: workers}
-	return total.Summary(), incomplete, eng, nil
+	sum, inc, eng := sim.EstimateEnv(sc.In, newWorker, strat.parallelizable(), reps, maxSteps, seed, workers)
+	return sum, inc, eng, nil
 }

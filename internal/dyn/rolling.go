@@ -63,17 +63,12 @@ func NewRolling(sc *Scenario, solverID string, par core.Params) (*RollingStrateg
 		return nil, err
 	}
 	s := &RollingStrategy{sc: sc, tl: tl, solver: solverID, par: par}
-	n, m := sc.In.N, sc.In.M
-	keep := make([]bool, n)
-	up := make([]bool, m)
-	arrived := make([]bool, n)
-	unfinished := make([]bool, n)
-	for j := 0; j < n; j++ {
-		arrived[j] = tl.arrive[j] == 0
+	// Plan for the step-0 picture every trajectory starts from.
+	arrived, up, _ := newEnv(sc.In, tl, 0).Reset(0)
+	keep := make([]bool, sc.In.N)
+	unfinished := make([]bool, sc.In.N)
+	for j := range unfinished {
 		unfinished[j] = true
-	}
-	for i := 0; i < m; i++ {
-		up[i] = !tl.downAt(i, 0)
 	}
 	s.computeKeep(arrived, unfinished, up, keep)
 	pl, basis, err := s.buildPlan(keep, up, par.Seed, nil)

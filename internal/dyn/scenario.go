@@ -159,13 +159,12 @@ type timeline struct {
 	arrive []int
 	// events lists the step times > 0 at which the availability
 	// picture changes (arrivals land, outage boundaries pass), sorted
-	// and deduplicated. Step-0 state is handled by reset.
+	// and deduplicated. Step-0 state is handled by env.Reset.
 	events []int
 	topo   []int
 	downs  [][]Outage
 	reg    []Regime
 	regOn  []bool
-	hasReg bool
 }
 
 // compile validates the scenario and precomputes the timeline.
@@ -206,12 +205,6 @@ func (s *Scenario) compile() (*timeline, error) {
 		} else {
 			tl.reg[r.Machine] = r
 			tl.regOn[r.Machine] = true
-		}
-	}
-	for _, on := range tl.regOn {
-		if on {
-			tl.hasReg = true
-			break
 		}
 	}
 	for t := range set {

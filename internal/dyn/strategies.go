@@ -12,7 +12,9 @@ import (
 // and nothing about outages or arrivals; assignments to down machines
 // are simply wasted. It is the degrading baseline every dynamic table
 // compares against — and the evaluator for "how would my deployed
-// schedule have fared under this scenario".
+// schedule have fared under this scenario". An outcome-observing
+// policy is still told, as under the static estimators, what each
+// step actually played (down machines idle) and completed.
 type StaticStrategy struct {
 	sc  *Scenario
 	pol sched.Policy
@@ -35,22 +37,9 @@ func (s *StaticStrategy) StaticPolicy() (sched.Policy, bool) { return s.pol, tru
 // one worker exactly as the static estimators do.
 func (s *StaticStrategy) parallelizable() bool { return sim.Parallelizable(s.pol) }
 
-// NewWalker implements Strategy.
-func (s *StaticStrategy) NewWalker() Walker { return &staticWalker{pol: s.pol} }
-
-type staticWalker struct {
-	pol sched.Policy
-	st  sched.State
-}
-
-func (w *staticWalker) Reset() {}
-
-func (w *staticWalker) Assign(st *State) sched.Assignment {
-	w.st.Unfinished = st.Unfinished
-	w.st.Eligible = st.Eligible
-	w.st.Step = st.Step
-	return w.pol.Assign(&w.st)
-}
+// NewWalker implements Strategy: nil, so the estimator plays the
+// wrapped policy on the walk directly.
+func (s *StaticStrategy) NewWalker() Walker { return nil }
 
 // AdaptiveStrategy reruns the MSM greedy every step on the currently
 // eligible jobs and up machines (core.MSMAlgMasked) — SUU-I-ALG made

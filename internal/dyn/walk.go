@@ -35,165 +35,106 @@ type Walker interface {
 	Assign(st *State) sched.Assignment
 }
 
-// walkState is the dynamic analogue of sim's runState: every buffer
-// one trajectory needs, allocated once per worker. The step loop
-// mirrors the static walk draw for draw — one uniform per touched job
-// in machine-scan order — so a scenario whose events never fire
-// produces bit-identical completion draws to the static generic
-// engine. Regime transitions draw from a separate stream, so adding a
-// regime never shifts the completion randomness.
-type walkState struct {
-	in   *model.Instance
-	tl   *timeline
-	p    []float64
-	n, m int
+// env is one worker's side of sim's step walk (it implements
+// sim.Env): it replays the scenario's timeline and hidden regime
+// chain into the walk's availability masks and, for strategies that
+// see the dynamics, serves their walker its State. Regime transitions
+// draw from their own stream, so adding a regime never shifts the
+// completion randomness.
+type env struct {
+	tl       *timeline
+	regSeed  int64
+	reg      sim.Stream
+	arrived  []bool
+	up       []bool
+	scale    []float64
+	bad      []bool
+	released []int
+	evt      int
 
-	unfinished []bool
-	eligible   []bool
-	arrived    []bool
-	up         []bool
-	predsLeft  []int
-	fail       []float64
-	seen       []bool
-	touched    []int
-	bad        []bool
-	remaining  int
-	evt        int
-
+	w  Walker
 	st State
 }
 
-func newWalkState(in *model.Instance, tl *timeline) *walkState {
-	ws := &walkState{
-		in:         in,
-		tl:         tl,
-		p:          in.Flat(),
-		n:          in.N,
-		m:          in.M,
-		unfinished: make([]bool, in.N),
-		eligible:   make([]bool, in.N),
-		arrived:    make([]bool, in.N),
-		up:         make([]bool, in.M),
-		predsLeft:  make([]int, in.N),
-		fail:       make([]float64, in.N),
-		seen:       make([]bool, in.N),
-		touched:    make([]int, 0, in.M),
-		bad:        make([]bool, in.M),
+func newEnv(in *model.Instance, tl *timeline, regSeed int64) *env {
+	e := &env{
+		tl:       tl,
+		regSeed:  regSeed,
+		arrived:  make([]bool, in.N),
+		up:       make([]bool, in.M),
+		scale:    make([]float64, in.M),
+		bad:      make([]bool, in.M),
+		released: make([]int, 0, in.N),
 	}
-	ws.st = State{
-		Unfinished: ws.unfinished,
-		Eligible:   ws.eligible,
-		Arrived:    ws.arrived,
-		Up:         ws.up,
-	}
-	return ws
+	e.st.Arrived, e.st.Up = e.arrived, e.up
+	return e
 }
 
-// reset restores the step-0 state: all jobs unfinished, jobs with
-// release 0 arrived, machines up unless an outage starts at 0, all
-// regimes good.
-func (ws *walkState) reset() {
-	for j := 0; j < ws.n; j++ {
-		ws.unfinished[j] = true
-		ws.predsLeft[j] = ws.in.Prec.InDeg(j)
-		ws.arrived[j] = ws.tl.arrive[j] == 0
-		ws.eligible[j] = ws.arrived[j] && ws.predsLeft[j] == 0
-		ws.fail[j] = 0
+// Reset implements sim.Env: jobs with release 0 arrived, machines up
+// unless an outage starts at 0, all regimes good, and repetition
+// rep's regime stream (SeedFor(seed, "regime"), rep).
+func (e *env) Reset(rep int64) ([]bool, []bool, []float64) {
+	for j, at := range e.tl.arrive {
+		e.arrived[j] = at == 0
 	}
-	for i := 0; i < ws.m; i++ {
-		ws.up[i] = !ws.tl.downAt(i, 0)
-		ws.bad[i] = false
+	for i := range e.up {
+		e.up[i] = !e.tl.downAt(i, 0)
+		e.bad[i] = false
+		e.scale[i] = 1
 	}
-	ws.remaining = ws.n
-	ws.evt = 0
+	e.evt = 0
+	e.reg.Reseed(e.regSeed, rep)
+	if e.w != nil {
+		e.w.Reset()
+	}
+	return e.arrived, e.up, e.scale
 }
 
-// run executes one trajectory of walker w for at most maxSteps steps.
-// rng feeds completion draws, reg the regime transitions. It returns
-// the makespan (1-based step index of the last completion, or
-// maxSteps at the cap) and whether every job finished.
-func (ws *walkState) run(w Walker, maxSteps int, rng, reg sim.Rand) (int, bool) {
-	ws.reset()
-	w.Reset()
-	n, m, p := ws.n, ws.m, ws.p
-	for t := 0; t < maxSteps && ws.remaining > 0; t++ {
-		epoch := t == 0
-		for ws.evt < len(ws.tl.events) && ws.tl.events[ws.evt] == t {
-			epoch = true
-			ws.evt++
-		}
-		if epoch && t > 0 {
-			for j := 0; j < n; j++ {
-				if ws.tl.arrive[j] == t {
-					ws.arrived[j] = true
-					if ws.unfinished[j] && ws.predsLeft[j] == 0 {
-						ws.eligible[j] = true
-					}
-				}
-			}
-			for i := 0; i < m; i++ {
-				ws.up[i] = !ws.tl.downAt(i, t)
+// Step implements sim.Env.
+func (e *env) Step(t int) []int {
+	e.released = e.released[:0]
+	epoch := t == 0
+	for e.evt < len(e.tl.events) && e.tl.events[e.evt] == t {
+		epoch = true
+		e.evt++
+	}
+	if epoch && t > 0 {
+		for j, at := range e.tl.arrive {
+			if at == t {
+				e.arrived[j] = true
+				e.released = append(e.released, j)
 			}
 		}
-		if ws.tl.hasReg {
-			// One transition draw per regime machine per step, in
-			// machine order — a fixed draw schedule, so trajectories
-			// stay reproducible whatever the policy does.
-			for i := 0; i < m; i++ {
-				if !ws.tl.regOn[i] {
-					continue
-				}
-				u := reg.Float64()
-				if ws.bad[i] {
-					if u < ws.tl.reg[i].BadToGood {
-						ws.bad[i] = false
-					}
-				} else if u < ws.tl.reg[i].GoodToBad {
-					ws.bad[i] = true
-				}
-			}
-		}
-		ws.st.Step = t
-		ws.st.Epoch = epoch
-		a := w.Assign(&ws.st)
-		ws.touched = ws.touched[:0]
-		for i := 0; i < m; i++ {
-			if !ws.up[i] {
-				continue
-			}
-			j := a[i]
-			if j == sched.Idle || j < 0 || j >= n || !ws.eligible[j] {
-				continue
-			}
-			if !ws.seen[j] {
-				ws.seen[j] = true
-				ws.fail[j] = 1
-				ws.touched = append(ws.touched, j)
-			}
-			pv := p[i*n+j]
-			if ws.bad[i] {
-				pv *= ws.tl.reg[i].Severity
-			}
-			ws.fail[j] *= 1 - pv
-		}
-		for _, j := range ws.touched {
-			if rng.Float64() < 1-ws.fail[j] {
-				ws.unfinished[j] = false
-				ws.eligible[j] = false
-				ws.remaining--
-				for _, sj := range ws.in.Prec.Succs(j) {
-					ws.predsLeft[sj]--
-					if ws.predsLeft[sj] == 0 && ws.unfinished[sj] && ws.arrived[sj] {
-						ws.eligible[sj] = true
-					}
-				}
-			}
-			ws.fail[j] = 0
-			ws.seen[j] = false
-		}
-		if ws.remaining == 0 {
-			return t + 1, true
+		for i := range e.up {
+			e.up[i] = !e.tl.downAt(i, t)
 		}
 	}
-	return maxSteps, ws.remaining == 0
+	// One transition draw per regime machine per step, in machine
+	// order — a fixed draw schedule, so trajectories stay reproducible
+	// whatever the policy does.
+	for i, on := range e.tl.regOn {
+		if !on {
+			continue
+		}
+		r := e.tl.reg[i]
+		u := e.reg.Float64()
+		if e.bad[i] {
+			e.bad[i] = u >= r.BadToGood
+		} else {
+			e.bad[i] = u < r.GoodToBad
+		}
+		e.scale[i] = 1
+		if e.bad[i] {
+			e.scale[i] = r.Severity
+		}
+	}
+	e.st.Epoch = epoch
+	return e.released
+}
+
+// Assign makes env the walk's policy for strategies with a walker: it
+// extends the walk's state with the availability picture.
+func (e *env) Assign(st *sched.State) sched.Assignment {
+	e.st.Unfinished, e.st.Eligible, e.st.Step = st.Unfinished, st.Eligible, st.Step
+	return e.w.Assign(&e.st)
 }

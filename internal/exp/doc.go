@@ -1,7 +1,8 @@
 // Package exp contains the experiment drivers that regenerate every
-// table of EXPERIMENTS.md — the empirical validation of each theorem
-// of Lin & Rajaraman (SPAA 2007) — plus the ablations called out in
-// DESIGN.md. Each driver returns a Table; cmd/suu-bench renders them.
+// experiment table (T1..T15, A1..A5, listed in README.md) — the
+// empirical validation of each theorem of Lin & Rajaraman (SPAA 2007)
+// plus the ablations. Each driver returns a Table; cmd/suu-bench
+// renders them and writes BENCH_sim.json (see docs/BENCH_SCHEMA.md).
 //
 // The drivers are built on the scenario-grid harness in grid.go:
 // every Monte Carlo cell (one instance × one solver × one trial)

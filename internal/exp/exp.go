@@ -53,7 +53,7 @@ func (c Config) trials() int {
 
 // Table is one experiment's result in displayable form.
 type Table struct {
-	// ID is the experiment id from DESIGN.md (T1..T10, A1..A4).
+	// ID is the experiment id (T1..T15, A1..A5; see Drivers).
 	ID string
 	// Title describes the experiment.
 	Title string

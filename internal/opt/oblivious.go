@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -29,12 +31,7 @@ func ExactOblivious(in *model.Instance, o *sched.Oblivious, horizon int, eps flo
 	expected := 0.0
 
 	for t := 0; t < horizon; t++ {
-		residual := 0.0
-		for s, p := range dist {
-			if s != 0 {
-				residual += p
-			}
-		}
+		states, residual := sortedStates(dist)
 		if residual <= eps {
 			break
 		}
@@ -43,10 +40,11 @@ func ExactOblivious(in *model.Instance, o *sched.Oblivious, horizon int, eps flo
 		if p0, ok := dist[0]; ok {
 			next[0] = p0
 		}
-		for s, p := range dist {
+		for _, s := range states {
 			if s == 0 {
 				continue
 			}
+			p := dist[s]
 			for _, tr := range Transitions(in, s, a) {
 				q := p * tr.Prob
 				if q > 0 {
@@ -60,12 +58,7 @@ func ExactOblivious(in *model.Instance, o *sched.Oblivious, horizon int, eps flo
 		}
 		dist = next
 	}
-	residual := 0.0
-	for s, p := range dist {
-		if s != 0 {
-			residual += p
-		}
-	}
+	_, residual := sortedStates(dist)
 	if residual > 0 {
 		// Lower-bound contribution of unfinished runs: they take at
 		// least horizon steps.
@@ -75,4 +68,20 @@ func ExactOblivious(in *model.Instance, o *sched.Oblivious, horizon int, eps flo
 		residual = 1
 	}
 	return expected, residual, nil
+}
+
+// sortedStates returns dist's states in increasing order and the
+// probability on unfinished ones, summed in that order. Every float
+// sum over the distribution walks this order: Go randomizes map
+// iteration, and summing in map order would change the last bits of
+// the result from call to call.
+func sortedStates(dist map[uint64]float64) ([]uint64, float64) {
+	states := slices.Sorted(maps.Keys(dist))
+	residual := 0.0
+	for _, s := range states {
+		if s != 0 {
+			residual += dist[s]
+		}
+	}
+	return states, residual
 }

@@ -259,7 +259,7 @@ func (c *compiledAdaptive) newRunner() *adaptRunner {
 // (≤2 unfinished jobs) states are sampled in closed form instead (see
 // splice.go) — same distribution, different draws. The loop allocates
 // nothing.
-func (r *adaptRunner) run(maxSteps int, rng Rand) (int, bool) {
+func (r *adaptRunner) run(_ int64, maxSteps int, rng Rand) (int, bool) {
 	states := r.c.states
 	for j := range r.mass {
 		r.mass[j] = 0

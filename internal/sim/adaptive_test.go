@@ -239,7 +239,7 @@ func TestCompiledAdaptiveCertainJobParity(t *testing.T) {
 	w := est.newWorker()
 	var rng Stream
 	rng.Reseed(seed, 0)
-	w.run(cap, &rng)
+	w.run(0, cap, &rng)
 	if got := w.massView()[0]; math.Abs(got-2) > 1e-12 {
 		t.Errorf("certain job accumulated mass %v, want exactly 2", got)
 	}
@@ -284,10 +284,10 @@ func TestCompiledAdaptiveRepAllocationFree(t *testing.T) {
 	w := c.newRunner()
 	var rng Stream
 	rng.Reseed(1, 0)
-	w.run(100000, &rng)
+	w.run(0, 100000, &rng)
 	allocs := testing.AllocsPerRun(50, func() {
 		rng.Reseed(1, 1)
-		if makespan, done := w.run(100000, &rng); !done || makespan <= 0 {
+		if makespan, done := w.run(0, 100000, &rng); !done || makespan <= 0 {
 			t.Fatal("run failed")
 		}
 	})

@@ -23,6 +23,11 @@
 // per machine word with the bit-parallel lane engine (see lane.go and
 // the BitParallel knob), under a pinned SeedFor-derived stream remap.
 //
+// The step engine is also the only walk for dynamic scenarios: under
+// an Env (EstimateEnv, driven by internal/dyn) it skips down machines,
+// scales p_ij per machine and holds back jobs until their release
+// step. Static runs carry no Env and take none of those branches.
+//
 // Estimators derive repetition r's RNG stream from (seed, r) with a
 // SplitMix64 reseed (see rng.go) and aggregate makespans into
 // fixed-size chunks of streaming stats.Accumulator values that merge

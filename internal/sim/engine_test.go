@@ -155,13 +155,13 @@ func TestCompiledRepAllocationFree(t *testing.T) {
 	w := c.newRunner()
 	var rng Stream
 	rng.Reseed(1, 0)
-	w.run(100000, &rng)
+	w.run(0, 100000, &rng)
 	if w.cont != nil {
 		t.Fatal("fixture unexpectedly hit the tail; enlarge the prefix")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		rng.Reseed(1, 1)
-		w.run(100000, &rng)
+		w.run(0, 100000, &rng)
 	})
 	if allocs != 0 {
 		t.Errorf("compiled repetition: %v allocs/run, want 0", allocs)

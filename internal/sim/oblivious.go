@@ -222,7 +222,7 @@ func (d remapDraw) tailRand() Rand { return d.tail }
 // run simulates one repetition. Draw-for-draw it performs the same
 // completion trials as the step engine, only ordered by job instead
 // of by step, so makespan and mass distributions are identical.
-func (r *oblivRunner) run(maxSteps int, rng Rand) (int, bool) {
+func (r *oblivRunner) run(_ int64, maxSteps int, rng Rand) (int, bool) {
 	return oblivRun(r, maxSteps, seqDraw{rng: rng})
 }
 

@@ -48,16 +48,33 @@ func EstimateParallelInfo(in *model.Instance, pol sched.Policy, reps, maxSteps i
 	if reps <= 0 {
 		panic("sim: reps must be positive")
 	}
-	return estimateChunked(in, pol, reps, maxSteps, seed, effectiveWorkers(pol, concurrency))
+	return estimateChunked(in, pol, reps, maxSteps, seed, effectiveWorkers(Parallelizable(pol), concurrency))
+}
+
+// EstimateEnv is EstimateParallelInfo for the step walk under an Env.
+// newWorker is called once per worker for that worker's policy and
+// Env; repetition r resets the Env with r, and its completion draws
+// come from stream (seed, r) as everywhere else. parallel reports
+// whether the workers' policies may run concurrently (false pins one
+// worker). The compiled engines assume a fixed instance, so this
+// always runs the step walk and reports EngineDynamic.
+func EstimateEnv(in *model.Instance, newWorker func() (sched.Policy, Env), parallel bool, reps, maxSteps int, seed int64, concurrency int) (stats.Summary, int, EngineUsed) {
+	if reps <= 0 {
+		panic("sim: reps must be positive")
+	}
+	// Resolve the flat backing here, before workers read it
+	// concurrently (see newEstimator).
+	in.Flat()
+	est := &estimator{in: in, newEnv: newWorker, engine: EngineUsed{Engine: EngineDynamic}}
+	return runEstimator(est, reps, maxSteps, seed, effectiveWorkers(parallel, concurrency))
 }
 
 // effectiveWorkers resolves a requested concurrency against the
-// policy's parallelizability: observer policies always run
-// sequentially, and concurrency <= 0 selects GOMAXPROCS. Shared by
-// EstimateParallelInfo and the Prepared form so both degrade
-// identically.
-func effectiveWorkers(pol sched.Policy, concurrency int) int {
-	if !Parallelizable(pol) || concurrency == 1 {
+// policy's parallelizability: non-parallel (observer) policies always
+// run sequentially, and concurrency <= 0 selects GOMAXPROCS. Shared by
+// every fan-out entry point so all degrade identically.
+func effectiveWorkers(parallel bool, concurrency int) int {
+	if !parallel || concurrency == 1 {
 		return 1
 	}
 	if concurrency <= 0 {

@@ -147,6 +147,6 @@ func (p *Prepared) EstimateParallelInfo(reps, maxSteps int, seed int64, concurre
 	if reps <= 0 {
 		panic("sim: reps must be positive")
 	}
-	workers := effectiveWorkers(p.pol, concurrency)
+	workers := effectiveWorkers(Parallelizable(p.pol), concurrency)
 	return runEstimator(p.estimator(reps), reps, maxSteps, seed, workers)
 }

@@ -24,7 +24,7 @@ func MakespanQuantiles(in *model.Instance, pol sched.Policy, reps, maxSteps int,
 	xs := make([]float64, reps)
 	for r := 0; r < reps; r++ {
 		rng.Reseed(seed, int64(r))
-		makespan, _ := w.run(maxSteps, &rng)
+		makespan, _ := w.run(int64(r), maxSteps, &rng)
 		xs[r] = float64(makespan)
 	}
 	out := make([]float64, len(qs))
@@ -72,7 +72,7 @@ func MakespanP2Quantiles(in *model.Instance, pol sched.Policy, reps, maxSteps in
 		var rng Stream
 		for r := 0; r < reps; r++ {
 			rng.Reseed(seed, int64(r))
-			makespan, _ := w.run(maxSteps, &rng)
+			makespan, _ := w.run(int64(r), maxSteps, &rng)
 			for _, p := range ps {
 				p.Add(float64(makespan))
 			}

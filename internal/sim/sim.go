@@ -33,15 +33,13 @@ func Run(in *model.Instance, pol sched.Policy, maxSteps int, rng *rand.Rand) Res
 	return Result{Makespan: makespan, Completed: completed, Mass: mass}
 }
 
-// repRunner is one worker's engine: run executes a repetition, mass
-// exposes the per-job mass of the latest repetition as a view.
+// repRunner is one worker's engine: run executes repetition rep
+// (drawing from rng), mass exposes the per-job mass of the latest
+// repetition as a view.
 type repRunner interface {
-	run(maxSteps int, rng Rand) (makespan int, completed bool)
+	run(rep int64, maxSteps int, rng Rand) (makespan int, completed bool)
 	massView() []float64
 }
-
-// run adapts Runner to repRunner.
-func (r *Runner) run(maxSteps int, rng Rand) (int, bool) { return r.Run(maxSteps, rng) }
 
 func (r *Runner) massView() []float64 { return r.rs.mass }
 
@@ -55,12 +53,12 @@ const (
 	EngineCompiledAdaptive = "compiled-adaptive"
 	EngineLane             = "compiled-lane"
 	EngineLaneAdaptive     = "compiled-adaptive-lane"
-	// EngineDynamic is the dynamic-scenario step walk (internal/dyn):
-	// arrivals, outages and regime modulation change the instance
-	// mid-run, which the compiled engines' immutable tables cannot
-	// express — they refuse, and the scenario estimator runs this
-	// generic-style walk instead. Scenarios without events delegate
-	// back to the static engines and report those names.
+	// EngineDynamic is the generic step walk under an Env
+	// (EstimateEnv), which internal/dyn drives: arrivals, outages and
+	// regime modulation change the instance mid-run, which the
+	// compiled engines' immutable tables cannot express. Scenarios
+	// without events delegate back to the static engines and report
+	// those names.
 	EngineDynamic = "dynamic-step"
 )
 
@@ -114,6 +112,9 @@ type estimator struct {
 	// walk (the parity tests' exactness oracle).
 	lane   bool
 	oracle bool
+	// newEnv, when set, builds each worker's policy and Env for the
+	// step walk (EstimateEnv); pol is then unused.
+	newEnv func() (sched.Policy, Env)
 }
 
 // UsesCompiledEngine reports whether the estimators will run pol on
@@ -208,6 +209,12 @@ func (e *estimator) newWorker() repRunner {
 	if e.adaptive != nil {
 		return e.adaptive.newRunner()
 	}
+	if e.newEnv != nil {
+		pol, env := e.newEnv()
+		r := NewRunner(e.in, pol)
+		r.rs.env = env
+		return r
+	}
 	return NewRunner(e.in, e.pol)
 }
 
@@ -280,7 +287,7 @@ func runEstimator(est *estimator, reps, maxSteps int, seed int64, workers int) (
 			acc := &accs[c]
 			for r := lo; r < hi; r++ {
 				rng.Reseed(seed, int64(r))
-				makespan, completed := w.run(maxSteps, &rng)
+				makespan, completed := w.run(int64(r), maxSteps, &rng)
 				acc.Add(float64(makespan))
 				if !completed {
 					incs[c]++
@@ -383,7 +390,7 @@ func MassWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, 
 		var rng Stream
 		for r := 0; r < reps; r++ {
 			rng.Reseed(seed^massSeedSalt, int64(r))
-			w.run(horizon, &rng)
+			w.run(int64(r), horizon, &rng)
 			accrueMassHits(counts, w.massView(), threshold)
 		}
 	}

@@ -5,6 +5,21 @@ import (
 	"suu/internal/sched"
 )
 
+// Env modulates the step walk with scenario dynamics: jobs released
+// mid-run, machines that go down, and a per-machine scale on p_ij.
+// The walk keeps the masks Reset returns and consults Step at the top
+// of every step, before the policy assigns. A nil mask means every job
+// released, every machine up, scale 1. An Env belongs to one worker.
+type Env interface {
+	// Reset prepares repetition rep and returns its step-0 picture:
+	// arrived[j], up[i] and scale[i]. The Env updates the returned
+	// slices in place as the run advances.
+	Reset(rep int64) (arrived, up []bool, scale []float64)
+	// Step brings up and scale to step t, marks the jobs released at
+	// t as arrived and returns them (none at step 0: Reset covers it).
+	Step(t int) (released []int)
+}
+
 // runState holds every buffer one simulation needs, allocated once
 // and reset per repetition, so the step loop itself performs zero
 // allocations. Each worker of EstimateParallel owns one.
@@ -27,6 +42,13 @@ type runState struct {
 	remaining int
 
 	st sched.State
+
+	// env, when set, supplies the masks below; all three stay nil on
+	// static runs.
+	env     Env
+	arrived []bool
+	up      []bool
+	scale   []float64
 
 	// Observer support, allocated only when the policy observes.
 	observer  sched.OutcomeObserver
@@ -57,13 +79,16 @@ func newRunState(in *model.Instance, pol sched.Policy) *runState {
 	return rs
 }
 
-// reset restores the pristine state: every job unfinished, roots
-// eligible, masses zero.
-func (rs *runState) reset() {
+// reset restores the pristine state of repetition rep: every job
+// unfinished, released roots eligible, masses zero.
+func (rs *runState) reset(rep int64) {
+	if rs.env != nil {
+		rs.arrived, rs.up, rs.scale = rs.env.Reset(rep)
+	}
 	for j := 0; j < rs.n; j++ {
 		rs.unfinished[j] = true
 		rs.predsLeft[j] = rs.in.Prec.InDeg(j)
-		rs.eligible[j] = rs.predsLeft[j] == 0
+		rs.eligible[j] = rs.predsLeft[j] == 0 && (rs.arrived == nil || rs.arrived[j])
 		rs.mass[j] = 0
 		rs.fail[j] = 0
 	}
@@ -75,12 +100,23 @@ func (rs *runState) reset() {
 // remaining) until the step cap or completion. It returns the
 // makespan — the 1-based index of the step that completed the last
 // job, or maxSteps when the cap was hit — and whether every job
-// finished. The loop body allocates nothing; any allocation comes
-// from the policy's Assign.
+// finished. Under an Env, down machines are skipped before their job
+// is looked at (so they consume no draw) and each p_ij is scaled by
+// scale[i]; a scale of exactly 1 leaves it bit-unchanged. The loop
+// body allocates nothing; any allocation comes from the policy's
+// Assign or the Env.
 func (rs *runState) runFrom(pol sched.Policy, t0, maxSteps int, rng Rand) (int, bool) {
 	n, m, p := rs.n, rs.m, rs.p
 	eligible, fail, mass := rs.eligible, rs.fail, rs.mass
+	arrived, up, scale := rs.arrived, rs.up, rs.scale
 	for t := t0; t < maxSteps && rs.remaining > 0; t++ {
+		if rs.env != nil {
+			for _, j := range rs.env.Step(t) {
+				if rs.unfinished[j] && rs.predsLeft[j] == 0 {
+					eligible[j] = true
+				}
+			}
+		}
 		rs.st.Step = t
 		a := pol.Assign(&rs.st)
 		rs.touched = rs.touched[:0]
@@ -93,6 +129,9 @@ func (rs *runState) runFrom(pol sched.Policy, t0, maxSteps int, rng Rand) (int, 
 			}
 		}
 		for i := 0; i < m; i++ {
+			if up != nil && !up[i] {
+				continue
+			}
 			j := a[i]
 			if j == sched.Idle || j < 0 || j >= n || !eligible[j] {
 				continue
@@ -106,6 +145,9 @@ func (rs *runState) runFrom(pol sched.Policy, t0, maxSteps int, rng Rand) (int, 
 				rs.touched = append(rs.touched, j)
 			}
 			pv := p[i*n+j]
+			if scale != nil {
+				pv *= scale[i]
+			}
 			fail[j] *= 1 - pv
 			mass[j] += pv
 		}
@@ -119,7 +161,7 @@ func (rs *runState) runFrom(pol sched.Policy, t0, maxSteps int, rng Rand) (int, 
 				rs.remaining--
 				for _, s := range rs.in.Prec.Succs(j) {
 					rs.predsLeft[s]--
-					if rs.predsLeft[s] == 0 && rs.unfinished[s] {
+					if rs.predsLeft[s] == 0 && rs.unfinished[s] && (arrived == nil || arrived[s]) {
 						eligible[s] = true
 					}
 				}
@@ -158,7 +200,12 @@ func NewRunner(in *model.Instance, pol sched.Policy) *Runner {
 // the makespan and whether every job completed. The step loop
 // performs zero heap allocations (given an allocation-free policy).
 func (r *Runner) Run(maxSteps int, rng Rand) (makespan int, completed bool) {
-	r.rs.reset()
+	return r.run(0, maxSteps, rng)
+}
+
+// run adapts Runner to repRunner; rep reaches only the Env.
+func (r *Runner) run(rep int64, maxSteps int, rng Rand) (int, bool) {
+	r.rs.reset(rep)
 	return r.rs.runFrom(r.pol, 0, maxSteps, rng)
 }
 

@@ -20,10 +20,6 @@ var allOptions = []Option{
 	WithSolver("adaptive"),
 }
 
-// EstimateOption must remain a true alias, so pre-redesign signatures
-// accept any option.
-var _ []EstimateOption = allOptions
-
 // TestOptionMapping pins each option to the field it configures, and
 // the defaults to their documented values.
 func TestOptionMapping(t *testing.T) {

@@ -39,12 +39,6 @@ func buildParams(opts []Option) core.Params { return buildOptions(opts).par }
 // this one type.
 type Option func(*options)
 
-// EstimateOption is the pre-unification name for estimation options.
-//
-// Deprecated: every option is an Option now; the alias remains so old
-// signatures keep compiling unchanged.
-type EstimateOption = Option
-
 // WithSeed fixes the seed of every randomized construction step and
 // of the Monte Carlo executions. It is the one seed knob: calls that
 // both construct and simulate derive their simulation streams from it
